@@ -19,11 +19,9 @@ serve::ServeOptions bench_options(Index batch_width) {
   serve::ServeOptions options;
   options.batch_width = batch_width;
   options.num_threads = 1;
-  // The serving engine's whole point is the warm cached factorization, so
-  // pin the direct method rather than letting kAuto route the 192² mesh
-  // to AMG-PCG: block triangular sweeps traverse the factor once for all
-  // b columns, which is where coalescing pays.
-  options.solver.method = solver::LaplacianMethod::kCholesky;
+  // The default direct method: the serving engine's whole point is the
+  // warm cached factorization, whose block triangular sweeps traverse the
+  // factor once for all b columns, which is where coalescing pays.
   return options;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -17,7 +18,23 @@ std::string lower(std::string s) {
   return s;
 }
 
+std::string position(long row, long col) {
+  return "row " + std::to_string(row) + ", column " + std::to_string(col);
+}
+
 }  // namespace
+
+Real parse_matrix_market_value(const std::string& token, const char* reader,
+                               long row, long col) {
+  char* end = nullptr;
+  const Real v = std::strtod(token.c_str(), &end);
+  SGL_EXPECTS(!token.empty() && end == token.c_str() + token.size(),
+              std::string(reader) + ": malformed value '" + token + "' at " +
+                  position(row, col));
+  SGL_EXPECTS(std::isfinite(v), std::string(reader) + ": non-finite value '" +
+                                    token + "' at " + position(row, col));
+  return v;
+}
 
 la::CsrMatrix read_matrix_market(const std::string& path) {
   std::ifstream in(path);
@@ -55,13 +72,19 @@ la::CsrMatrix read_matrix_market(const std::string& path) {
   triplets.reserve(static_cast<std::size_t>(nnz) * (symmetric ? 2 : 1));
   for (long k = 0; k < nnz; ++k) {
     long i = 0, j = 0;
-    Real v = 1.0;
+    std::string token;
     in >> i >> j;
-    if (!pattern) in >> v;
-    SGL_EXPECTS(in.good() || in.eof(),
-                "read_matrix_market: truncated entry list");
+    if (!pattern) in >> token;
+    SGL_EXPECTS(!in.fail(),
+                std::string(in.eof() ? "read_matrix_market: truncated entry list"
+                                     : "read_matrix_market: malformed entry") +
+                    " (entry " + std::to_string(k + 1) + " of " +
+                    std::to_string(nnz) + ")");
     SGL_EXPECTS(i >= 1 && i <= rows && j >= 1 && j <= cols,
                 "read_matrix_market: entry out of range");
+    const Real v = pattern ? 1.0
+                           : parse_matrix_market_value(
+                                 token, "read_matrix_market", i, j);
     triplets.push_back({static_cast<Index>(i - 1), static_cast<Index>(j - 1), v});
     if (symmetric && i != j)
       triplets.push_back({static_cast<Index>(j - 1), static_cast<Index>(i - 1), v});

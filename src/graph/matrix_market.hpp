@@ -24,8 +24,18 @@ enum class MatrixInterpretation {
 
 /// Reads a MatrixMarket "matrix coordinate real|integer|pattern
 /// general|symmetric" file. Symmetric storage is expanded. Throws
-/// ContractViolation on malformed input.
+/// ContractViolation on malformed input: a truncated entry list, an entry
+/// out of range, or a value that is not a finite number.
 [[nodiscard]] la::CsrMatrix read_matrix_market(const std::string& path);
+
+/// Parses one whitespace-delimited MatrixMarket value token (the whole
+/// token, as std::strtod reads it). Throws ContractViolation prefixed with
+/// `reader` and naming the 1-based `row`/`col` when the token is not a
+/// number or is not finite ("nan", "inf", an overflowing "1e400"). Shared
+/// by the sparse reader and the dense measurement reader.
+[[nodiscard]] Real parse_matrix_market_value(const std::string& token,
+                                             const char* reader, long row,
+                                             long col);
 
 /// Converts a square sparse matrix into an undirected graph, deduplicating
 /// (i, j)/(j, i) pairs.

@@ -80,16 +80,26 @@ graph::Graph build_knn_graph(const la::DenseMatrix& x,
           ? brute_force_knn(x, options.k, options.num_threads)
           : hnsw_knn(x, options.k, options.hnsw, options.num_threads);
 
-  // Median neighbor distance defines the duplicate-point floor. The floor
-  // is purely relative to the median so that rescaling the data rescales
-  // every weight uniformly; the absolute epsilon only matters when the
-  // median itself is zero (all points coincident) and is small enough
-  // never to clamp a genuine distance.
-  std::vector<Real> dists = knn.distance_squared;
-  std::sort(dists.begin(), dists.end());
-  const Real median = dists.empty() ? 0.0 : dists[dists.size() / 2];
-  const Real floor2 =
-      std::max(options.distance_floor_rel * median, Real{1e-300});
+  // The median of the POSITIVE neighbor distances defines the
+  // duplicate-point floor. The floor is purely relative to that median, so
+  // rescaling the data rescales every weight uniformly; zero distances
+  // (duplicate rows) are left out of the median, or a data set where most
+  // points have duplicates would get a zero scale and weights near 1e300.
+  // When no neighbor distance is positive (every point has at least k
+  // exact duplicates) the input is rejected: the only positive distances
+  // left would be the connectivity repair's bridges, so the floor alone
+  // would weight every kNN edge, 1/floor_rel above the bridges.
+  std::vector<Real> dists;
+  dists.reserve(knn.distance_squared.size());
+  for (const Real d : knn.distance_squared)
+    if (d > 0.0) dists.push_back(d);
+  SGL_EXPECTS(!dists.empty(),
+              "build_knn_graph: no positive neighbor distance — every "
+              "point's k nearest neighbors are exact duplicates of it; "
+              "remove duplicate rows or raise k");
+  const auto mid = dists.begin() + static_cast<std::ptrdiff_t>(dists.size() / 2);
+  std::nth_element(dists.begin(), mid, dists.end());
+  const Real floor2 = options.distance_floor_rel * *mid;
 
   // Symmetrize by union; keep the smaller distance if both directions hit.
   const Real weight_numerator = static_cast<Real>(m);

@@ -29,10 +29,11 @@ struct KnnGraphOptions {
   /// graph is connected.
   bool ensure_connected = true;
   /// Floor for distances when converting to weights, relative to the
-  /// median neighbor distance (guards duplicate points). Purely relative,
-  /// so uniformly rescaling the data rescales every weight by the same
-  /// factor; a tiny absolute epsilon kicks in only when the median itself
-  /// is zero (all points coincident).
+  /// median positive neighbor distance (guards duplicate points). Purely
+  /// relative, so uniformly rescaling the data rescales every weight by
+  /// the same factor. Data with no positive neighbor distance (every
+  /// point's k nearest neighbors duplicate it, even when distinct points
+  /// exist further away) is rejected with a ContractViolation.
   Real distance_floor_rel = 1e-12;
   /// Worker threads for neighbor search and the connectivity repair scan
   /// (0 = library default from SGL_NUM_THREADS/hardware, 1 = serial).

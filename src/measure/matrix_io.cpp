@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/contracts.hpp"
+#include "graph/matrix_market.hpp"
 
 namespace sgl::measure {
 
@@ -42,12 +43,15 @@ la::DenseMatrix read_dense_matrix_market(const std::string& path) {
   SGL_EXPECTS(rows > 0 && cols > 0, "read_dense_matrix_market: bad size line");
 
   la::DenseMatrix m(static_cast<Index>(rows), static_cast<Index>(cols));
+  std::string token;
   for (Index j = 0; j < m.cols(); ++j) {
     for (Index i = 0; i < m.rows(); ++i) {
-      Real v = 0.0;
-      in >> v;
-      SGL_EXPECTS(!in.fail(), "read_dense_matrix_market: truncated data");
-      m(i, j) = v;
+      SGL_EXPECTS(static_cast<bool>(in >> token),
+                  "read_dense_matrix_market: truncated data (" +
+                      std::to_string(rows * cols) + " values expected, " +
+                      std::to_string(j * rows + i) + " read)");
+      m(i, j) = graph::parse_matrix_market_value(
+          token, "read_dense_matrix_market", i + 1, j + 1);
     }
   }
   return m;

@@ -8,6 +8,24 @@
 
 namespace sgl::measure {
 
+la::DenseMatrix measurement_currents(Index num_nodes, Index num_measurements,
+                                     std::uint64_t seed) {
+  SGL_EXPECTS(num_nodes >= 1 && num_measurements >= 1,
+              "measurement_currents: empty excitation block");
+  Rng rng(seed);
+  la::DenseMatrix currents(num_nodes, num_measurements);
+  // Drawn serially so the RNG stream (and therefore every measurement) is
+  // independent of the thread count.
+  la::Vector y(static_cast<std::size_t>(num_nodes));
+  for (Index i = 0; i < num_measurements; ++i) {
+    for (Real& v : y) v = rng.normal();
+    la::center(y);     // current conservation: Σ y = 0
+    la::normalize(y);  // unit excitation
+    currents.set_col(i, y);
+  }
+  return currents;
+}
+
 Measurements generate_measurements(const graph::Graph& ground_truth,
                                    const MeasurementOptions& options) {
   const Index n = ground_truth.num_nodes();
@@ -21,21 +39,10 @@ Measurements generate_measurements(const graph::Graph& ground_truth,
   if (solver_options.num_threads == 0)
     solver_options.num_threads = options.num_threads;
   const solver::LaplacianPinvSolver pinv(ground_truth, solver_options);
-  Rng rng(options.seed);
 
   Measurements out;
+  out.currents = measurement_currents(n, m, options.seed);
   out.voltages = la::DenseMatrix(n, m);
-  out.currents = la::DenseMatrix(n, m);
-
-  // Current vectors are drawn serially so the RNG stream (and therefore
-  // every measurement) is independent of the thread count.
-  la::Vector y(static_cast<std::size_t>(n));
-  for (Index i = 0; i < m; ++i) {
-    for (Real& v : y) v = rng.normal();
-    la::center(y);     // current conservation: Σ y = 0
-    la::normalize(y);  // unit excitation
-    out.currents.set_col(i, y);
-  }
 
   // The M voltage solves are one multi-RHS block apply of the shared
   // factorization (the same per-column arithmetic for every thread

@@ -30,10 +30,16 @@ struct MeasurementOptions {
   Index num_threads = 0;
 };
 
+/// The M current excitations of the paper's setup, drawn serially from
+/// Rng(seed): standard-normal columns, centered (orthogonal to the
+/// all-ones vector) and normalized to unit length.
+[[nodiscard]] la::DenseMatrix measurement_currents(Index num_nodes,
+                                                   Index num_measurements,
+                                                   std::uint64_t seed);
+
 /// Generates M measurement pairs exactly as the paper's setup prescribes:
-/// standard-normal current vectors, centered (orthogonal to the all-ones
-/// vector) and normalized to unit length, with voltages from Laplacian
-/// solves on the ground-truth graph.
+/// the currents of measurement_currents(N, M, options.seed), with voltages
+/// from Laplacian solves on the ground-truth graph.
 [[nodiscard]] Measurements generate_measurements(
     const graph::Graph& ground_truth, const MeasurementOptions& options = {});
 

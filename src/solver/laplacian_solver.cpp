@@ -34,13 +34,12 @@ la::CsrMatrix grounded_laplacian(const graph::Graph& g, Index ground) {
 }
 
 namespace {
-constexpr std::array<common::EnumName<LaplacianMethod>, 6> kMethodNames{{
+constexpr std::array<common::EnumName<LaplacianMethod>, 5> kMethodNames{{
     {LaplacianMethod::kCholesky, "cholesky"},
     {LaplacianMethod::kPcgJacobi, "pcg-jacobi"},
     {LaplacianMethod::kPcgIc0, "pcg-ic0"},
     {LaplacianMethod::kPcgTree, "pcg-tree"},
     {LaplacianMethod::kPcgAmg, "pcg-amg"},
-    {LaplacianMethod::kAuto, "auto"},
 }};
 }  // namespace
 
@@ -65,22 +64,13 @@ LaplacianPinvSolver::LaplacianPinvSolver(const graph::Graph& g,
                                          std::vector<Index> ordering_hint)
     : n_(g.num_nodes()),
       factor_num_threads_(options.num_threads),
+      method_(options.method),
       pcg_options_(options.pcg) {
   SGL_EXPECTS(n_ >= 2, "LaplacianPinvSolver: need at least two nodes");
   SGL_EXPECTS(graph::is_connected(g),
               "LaplacianPinvSolver: graph must be connected");
 
   grounded_ = grounded_laplacian(g, ground_);
-
-  method_ = options.method;
-  if (method_ == LaplacianMethod::kAuto) {
-    const Real avg_degree =
-        2.0 * static_cast<Real>(g.num_edges()) / static_cast<Real>(n_);
-    // Ultra-sparse learned graphs and small meshes factor in near-linear
-    // time; large denser meshes go to AMG-preconditioned CG.
-    method_ = (n_ <= 30000 || avg_degree <= 3.0) ? LaplacianMethod::kCholesky
-                                                 : LaplacianMethod::kPcgAmg;
-  }
 
   live_rows_.reserve(static_cast<std::size_t>(n_) - 1);
   for (Index i = 0; i < n_; ++i)
@@ -110,9 +100,6 @@ LaplacianPinvSolver::LaplacianPinvSolver(const graph::Graph& g,
       break;
     case LaplacianMethod::kPcgAmg:
       preconditioner_ = std::make_unique<AmgPreconditioner>(grounded_, options.amg);
-      break;
-    case LaplacianMethod::kAuto:
-      SGL_ASSERT(false, "kAuto must be resolved above");
       break;
   }
 }

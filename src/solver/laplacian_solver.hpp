@@ -5,9 +5,10 @@
 // L⁺y whenever the right-hand side is orthogonal to the all-ones vector —
 // the situation everywhere in SGL (current vectors sum to zero, e_s − e_t
 // probes, Lanczos iterates). This facade hides the grounding bookkeeping
-// and picks between a direct LDLᵀ factorization and PCG (Jacobi- or
-// AMG-preconditioned), mirroring how a circuit simulator grounds a node
-// of the admittance matrix.
+// behind one solver choice: a direct LDLᵀ factorization (the default; it
+// wins on every calibrated workload, DESIGN.md §11) or PCG with a Jacobi,
+// IC(0), spanning-tree or AMG preconditioner, mirroring how a circuit
+// simulator grounds a node of the admittance matrix.
 #pragma once
 
 #include <memory>
@@ -28,14 +29,17 @@
 
 namespace sgl::solver {
 
+/// Direct LDLᵀ or preconditioned CG. There is no auto choice: Cholesky
+/// beats PCG-AMG on every calibrated graph, ultra-sparse learned graphs and
+/// meshes up to 150k nodes alike (BENCH_policies.json, DESIGN.md §11), so
+/// it is the default and the PCG methods are reached only by asking for
+/// them.
 enum class LaplacianMethod {
   kCholesky,
   kPcgJacobi,
   kPcgIc0,
   kPcgTree,
   kPcgAmg,
-  /// Cholesky for small or ultra-sparse graphs, PCG-AMG for large meshes.
-  kAuto,
 };
 
 /// Reduced Laplacian of `g` with the `ground` row/column deleted (node
@@ -45,7 +49,7 @@ enum class LaplacianMethod {
 [[nodiscard]] la::CsrMatrix grounded_laplacian(const graph::Graph& g,
                                                Index ground = 0);
 
-/// CLI-facing name of a method ("cholesky", "pcg-jacobi", …, "auto").
+/// CLI-facing name of a method ("cholesky", "pcg-jacobi", …, "pcg-amg").
 [[nodiscard]] const char* laplacian_method_name(LaplacianMethod method);
 
 /// Inverse of laplacian_method_name; nullopt for unknown names.
@@ -56,7 +60,7 @@ enum class LaplacianMethod {
 [[nodiscard]] std::string laplacian_method_name_list();
 
 struct LaplacianSolverOptions {
-  LaplacianMethod method = LaplacianMethod::kAuto;
+  LaplacianMethod method = LaplacianMethod::kCholesky;
   OrderingMethod ordering = OrderingMethod::kAuto;
   /// Worker threads for the numeric factorization (0 = library default,
   /// 1 = serial). The factor is bit-identical for every value.
@@ -90,8 +94,8 @@ class LaplacianPinvSolver {
   /// same-node-count graph) replaces the ordering heuristic on the
   /// Cholesky path — the dominant rebuild cost on near-tree graphs, and a
   /// permutation computed a few edges ago is still a good fill reducer
-  /// (DESIGN.md §8). An empty hint, or a non-Cholesky resolved method,
-  /// behaves exactly like the plain constructor.
+  /// (DESIGN.md §8). An empty hint, or a PCG method, behaves exactly like
+  /// the plain constructor.
   LaplacianPinvSolver(const graph::Graph& g,
                       const LaplacianSolverOptions& options,
                       std::vector<Index> ordering_hint);
@@ -147,7 +151,7 @@ class LaplacianPinvSolver {
   /// Applies the Laplacian stamp of graph edge (s, t) with weight delta
   /// `w` directly to the warm factor (rank-1 update/downdate along the
   /// elimination-tree path). Returns false — with the solver unchanged —
-  /// when there is no in-place path: the resolved method is not Cholesky,
+  /// when there is no in-place path: the method is not Cholesky,
   /// or the stamp falls outside the analyzed factor pattern; the caller
   /// rebuilds or renumerates instead. Throws NumericalError on a downdate
   /// that would lose positive definiteness (factor unchanged). NOTE: only
@@ -171,11 +175,11 @@ class LaplacianPinvSolver {
 
   [[nodiscard]] Index num_nodes() const noexcept { return n_; }
 
-  /// Method actually selected after kAuto resolution.
+  /// The solver method this instance runs (options.method).
   [[nodiscard]] LaplacianMethod method() const noexcept { return method_; }
 
   /// Factorization statistics (nnz, supernodes, levels, seconds) when the
-  /// resolved method is Cholesky; nullptr for the PCG methods, which hold
+  /// method is Cholesky; nullptr for the PCG methods, which hold
   /// no factor.
   [[nodiscard]] const FactorStats* factor_stats() const noexcept {
     return cholesky_ ? &cholesky_->stats() : nullptr;

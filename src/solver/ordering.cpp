@@ -333,10 +333,8 @@ std::vector<Index> compute_ordering(const la::CsrMatrix& a,
     case OrderingMethod::kAuto: {
       const Index n = a.rows();
       const Real avg_row = n > 0 ? static_cast<Real>(a.nnz()) / n : 0.0;
-      // Ultra-sparse graphs (trees + a few edges) and small systems: MD.
-      // Large meshes: nested dissection bounds the fill growth.
-      if (n <= 30000 || avg_row <= 3.5) return minimum_degree_ordering(a);
-      return nested_dissection_ordering(a);
+      return avg_row <= kMinimumDegreeMaxAvgRow ? minimum_degree_ordering(a)
+                                                : nested_dissection_ordering(a);
     }
   }
   SGL_EXPECTS(false, "compute_ordering: unknown method");

@@ -23,10 +23,17 @@ enum class OrderingMethod {
   kRcm,
   kMinimumDegree,
   kNestedDissection,
-  /// Heuristic pick: MD below ~30k rows or when the matrix is very sparse,
-  /// nested dissection otherwise.
+  /// Picks by sparsity alone: minimum degree when the matrix averages at
+  /// most kMinimumDegreeMaxAvgRow nonzeros per row (spanning tree + a few
+  /// edges: the learned graphs), nested dissection otherwise (meshes).
   kAuto,
 };
+
+/// kAuto's cut-off on nnz(a) / rows(a), calibrated in BENCH_policies.json
+/// (DESIGN.md §11): minimum degree has the cheaper order + factor +
+/// 50-column solve on the learned graph (3.11 per row), nested dissection
+/// on every mesh (4.84 per row and up, at every size from 32²).
+inline constexpr Real kMinimumDegreeMaxAvgRow = 3.5;
 
 /// CLI-facing name: "natural", "rcm", "amd" (minimum degree), "nd"
 /// (nested dissection), "auto".

@@ -121,6 +121,31 @@ TEST_F(MatrixMarketTest, EntryOutOfRangeThrows) {
   EXPECT_THROW(read_matrix_market(path), ContractViolation);
 }
 
+TEST_F(MatrixMarketTest, NonFiniteAndTruncatedGetDistinctMessages) {
+  const auto error = [this](const std::string& name, const std::string& body) {
+    const std::string path = temp_path(name);
+    write_file(path, "%%MatrixMarket matrix coordinate real symmetric\n" + body);
+    try {
+      (void)read_matrix_market(path);
+    } catch (const ContractViolation& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string nan = error("nan.mtx", "3 3 3\n1 1 2\n2 1 nan\n3 3 1\n");
+  EXPECT_NE(nan.find("non-finite value 'nan' at row 2, column 1"),
+            std::string::npos) << nan;
+  const std::string inf = error("inf.mtx", "3 3 2\n1 1 2\n3 2 inf\n");
+  EXPECT_NE(inf.find("non-finite value 'inf' at row 3, column 2"),
+            std::string::npos) << inf;
+  const std::string truncated = error("trunc.mtx", "3 3 3\n1 1 2\n2 1 -1\n");
+  EXPECT_NE(truncated.find("truncated entry list (entry 3 of 3)"),
+            std::string::npos) << truncated;
+  const std::string index = error("index.mtx", "3 3 2\n1 1 2\nx 1 -1\n");
+  EXPECT_NE(index.find("malformed entry (entry 2 of 2)"), std::string::npos)
+      << index;
+}
+
 TEST_F(MatrixMarketTest, GraphFromMatrixRequiresSquare) {
   const la::CsrMatrix rect = la::CsrMatrix::from_triplets(2, 3, {{0, 0, 1.0}});
   EXPECT_THROW(graph_from_matrix(rect, MatrixInterpretation::kAdjacency),

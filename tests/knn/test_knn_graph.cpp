@@ -1,7 +1,9 @@
 // Unit tests for kNN graph construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -94,6 +96,68 @@ TEST(KnnGraph, DuplicatePointsGetFiniteWeights) {
     EXPECT_TRUE(std::isfinite(e.weight));
     EXPECT_GT(e.weight, 0.0);
   }
+}
+
+/// Forty 6-dim points in two clusters of identical rows: every point's
+/// nearest neighbors are exact duplicates of it.
+la::DenseMatrix two_duplicate_clusters() {
+  la::DenseMatrix x(40, 6);
+  for (Index i = 0; i < 40; ++i)
+    for (Index j = 0; j < 6; ++j)
+      x(i, j) = (i < 20 ? 0.25 : -0.5) * static_cast<Real>(j + 1);
+  return x;
+}
+
+TEST(KnnGraph, NoPositiveNeighborDistanceIsRejected) {
+  // The median neighbor distance of this input is 0; the floor used to
+  // collapse to 1e-300 and give weights near 1e302.
+  try {
+    (void)build_knn_graph(two_duplicate_clusters());
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(std::string(e.what()).find("no positive neighbor distance"),
+              std::string::npos) << e.what();
+  }
+}
+
+TEST(KnnGraph, LearnOnDuplicateClustersIsFiniteOrTypedError) {
+  // End to end on the same input (what sgl_learn runs on a voltages file):
+  // a learned graph must have finite weights within a bounded spread, or
+  // the learner must refuse the data with a typed error.
+  try {
+    const core::SglResult result = core::learn_graph(two_duplicate_clusters());
+    Real lo = std::numeric_limits<Real>::infinity();
+    Real hi = 0.0;
+    for (const graph::Edge& e : result.learned.edges()) {
+      ASSERT_TRUE(std::isfinite(e.weight));
+      lo = std::min(lo, e.weight);
+      hi = std::max(hi, e.weight);
+    }
+    EXPECT_LE(hi / lo, 1e8);
+  } catch (const SglError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+  }
+}
+
+TEST(KnnGraph, DuplicateFloorIgnoresZeroDistances) {
+  // Most rows duplicate row 0, so most neighbor distances are 0. The floor
+  // comes from the median of the positive ones, so the duplicate edges get
+  // weight M / (floor_rel · median) instead of M / 1e-300.
+  la::DenseMatrix x = random_points(12, 3, 5);
+  for (Index i = 1; i < 8; ++i)
+    for (Index j = 0; j < 3; ++j) x(i, j) = x(0, j);
+  KnnGraphOptions options;
+  options.k = 3;
+  options.backend = KnnBackend::kBruteForce;
+  const graph::Graph g = build_knn_graph(x, options);
+  Real hi = 0.0;
+  for (const graph::Edge& e : g.edges()) {
+    ASSERT_TRUE(std::isfinite(e.weight));
+    hi = std::max(hi, e.weight);
+  }
+  EXPECT_LT(hi, 3.0 / options.distance_floor_rel * 1e3);
+  EXPECT_GT(hi, 3.0 / options.distance_floor_rel * 1e-3);
 }
 
 TEST(KnnGraph, WeightsScaleWithData) {

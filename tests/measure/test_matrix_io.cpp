@@ -64,6 +64,34 @@ TEST(MatrixIo, RejectsTruncatedData) {
   EXPECT_THROW((void)read_dense_matrix_market(path), ContractViolation);
 }
 
+/// what() of the ContractViolation reading `body` throws ("" if none).
+std::string read_error(const std::string& name, const std::string& body) {
+  const std::string path = temp_path(name);
+  std::ofstream(path) << "%%MatrixMarket matrix array real general\n" << body;
+  try {
+    (void)read_dense_matrix_market(path);
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MatrixIo, NonFiniteAndTruncatedGetDistinctMessages) {
+  // Values are column-major: the 4th value of a 3 × 2 file is (1, 2).
+  const std::string nan = read_error("nan.mtx", "3 2\n1\n2\n3\nnan\n5\n6\n");
+  EXPECT_NE(nan.find("non-finite value 'nan' at row 1, column 2"),
+            std::string::npos) << nan;
+  const std::string inf = read_error("inf.mtx", "3 2\n1\n-inf\n3\n4\n5\n6\n");
+  EXPECT_NE(inf.find("non-finite value '-inf' at row 2, column 1"),
+            std::string::npos) << inf;
+  const std::string bad = read_error("bad.mtx", "3 2\n1\n2\n3\n4\n5x\n6\n");
+  EXPECT_NE(bad.find("malformed value '5x' at row 2, column 2"),
+            std::string::npos) << bad;
+  const std::string truncated = read_error("trunc.mtx", "3 2\n1\n2\n");
+  EXPECT_NE(truncated.find("truncated data (6 values expected, 2 read)"),
+            std::string::npos) << truncated;
+}
+
 TEST(MatrixIo, MissingFileThrows) {
   EXPECT_THROW((void)read_dense_matrix_market(temp_path("nope.mtx")),
                ContractViolation);

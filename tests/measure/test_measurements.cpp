@@ -22,6 +22,18 @@ TEST(Measurements, CurrentsAreCenteredAndUnitNorm) {
   }
 }
 
+TEST(Measurements, CurrentsAreTheSharedExcitationBlock) {
+  // generate_measurements solves exactly the block measurement_currents
+  // draws, so callers that time or replay the measurement solve (the
+  // policy calibration) get the same right-hand sides.
+  const graph::Graph g = graph::make_grid2d(6, 5).graph;
+  MeasurementOptions options;
+  options.num_measurements = 7;
+  options.seed = 91;
+  const Measurements m = generate_measurements(g, options);
+  EXPECT_EQ(m.currents.data(), measurement_currents(30, 7, 91).data());
+}
+
 TEST(Measurements, VoltagesSolveTheLaplacian) {
   const graph::Graph g = graph::make_grid2d(7, 6).graph;
   MeasurementOptions options;

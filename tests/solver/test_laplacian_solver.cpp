@@ -112,8 +112,7 @@ INSTANTIATE_TEST_SUITE_P(Methods, LaplacianMethodSweep,
                                            LaplacianMethod::kPcgJacobi,
                                            LaplacianMethod::kPcgIc0,
                                            LaplacianMethod::kPcgTree,
-                                           LaplacianMethod::kPcgAmg,
-                                           LaplacianMethod::kAuto));
+                                           LaplacianMethod::kPcgAmg));
 
 // --- Solver-method agreement across graph families ----------------------
 // Every method must produce the same L⁺ action — via apply() and via
@@ -168,7 +167,7 @@ std::vector<MethodGraphCase> method_graph_cases() {
   for (const LaplacianMethod m :
        {LaplacianMethod::kCholesky, LaplacianMethod::kPcgJacobi,
         LaplacianMethod::kPcgIc0, LaplacianMethod::kPcgTree,
-        LaplacianMethod::kPcgAmg, LaplacianMethod::kAuto}) {
+        LaplacianMethod::kPcgAmg}) {
     for (const char* g : {"path", "mesh", "torus"}) cases.push_back({m, g});
   }
   return cases;
@@ -200,12 +199,6 @@ TEST(LaplacianSolver, EffectiveResistanceContracts) {
   const LaplacianPinvSolver pinv(g);
   EXPECT_THROW((void)pinv.effective_resistance(0, 0), ContractViolation);
   EXPECT_THROW((void)pinv.effective_resistance(0, 9), ContractViolation);
-}
-
-TEST(LaplacianSolver, ReportsResolvedAutoMethod) {
-  const graph::Graph small = graph::make_grid2d(5, 5).graph;
-  const LaplacianPinvSolver pinv(small);
-  EXPECT_EQ(pinv.method(), LaplacianMethod::kCholesky);
 }
 
 TEST(LaplacianSolver, ApplyBlockMatchesPerColumnApplyBitwise) {
@@ -413,6 +406,18 @@ TEST(LaplacianSolver, FactorStatsExposedForCholesky) {
   EXPECT_GE(stats->factor_seconds, 0.0);
 }
 
+TEST(LaplacianSolver, DefaultMethodIsCholesky) {
+  // The default is direct on every graph, small or large: a 182² torus
+  // (n > 30000, average degree 4) once went to PCG-AMG, about 20× slower
+  // than Cholesky + nested dissection at that size (BENCH_policies.json).
+  for (const Index side : {5, 182}) {
+    const graph::Graph g = graph::make_grid2d(side, side, /*periodic=*/true).graph;
+    const LaplacianPinvSolver pinv(g);
+    EXPECT_EQ(pinv.method(), LaplacianMethod::kCholesky) << side;
+    EXPECT_NE(pinv.factor_stats(), nullptr) << side;
+  }
+}
+
 TEST(LaplacianSolver, FactorStatsNullForPcgMethods) {
   const graph::Graph g = graph::make_grid2d(6, 6).graph;
   LaplacianSolverOptions options;
@@ -425,7 +430,7 @@ TEST(LaplacianSolver, MethodNamesRoundTrip) {
   for (const LaplacianMethod m :
        {LaplacianMethod::kCholesky, LaplacianMethod::kPcgJacobi,
         LaplacianMethod::kPcgIc0, LaplacianMethod::kPcgTree,
-        LaplacianMethod::kPcgAmg, LaplacianMethod::kAuto}) {
+        LaplacianMethod::kPcgAmg}) {
     const auto parsed = parse_laplacian_method(laplacian_method_name(m));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, m);

@@ -113,6 +113,26 @@ INSTANTIATE_TEST_SUITE_P(Methods, OrderingMethodSweep,
                                            OrderingMethod::kNestedDissection,
                                            OrderingMethod::kAuto));
 
+TEST(Ordering, AutoPicksNestedDissectionForMeshes) {
+  // 5 nonzeros per row: nested dissection, at every mesh size.
+  const la::CsrMatrix a =
+      graph::make_grid2d(64, 64, /*periodic=*/true).graph.laplacian();
+  EXPECT_EQ(compute_ordering(a, OrderingMethod::kAuto),
+            nested_dissection_ordering(a));
+}
+
+TEST(Ordering, AutoPicksMinimumDegreeForTreePlusFewEdges) {
+  // A spanning tree plus a few extra edges — the learned-graph shape, about
+  // 3 nonzeros per row.
+  graph::Graph g = graph::make_path(3000);
+  for (Index i = 0; i + 500 < 3000; i += 500) g.add_edge(i, i + 500);
+  const la::CsrMatrix a = g.laplacian();
+  ASSERT_LE(static_cast<Real>(a.nnz()) / static_cast<Real>(a.rows()),
+            kMinimumDegreeMaxAvgRow);
+  EXPECT_EQ(compute_ordering(a, OrderingMethod::kAuto),
+            minimum_degree_ordering(a));
+}
+
 TEST(Ordering, NestedDissectionValidOnLargerMesh) {
   const graph::Graph g = graph::make_grid2d(40, 37).graph;
   const la::CsrMatrix a = g.laplacian();

@@ -8,7 +8,7 @@
 // serial server would have sent (solver block bit-equality contract).
 //
 //   sgl_serve --socket /tmp/sgl.sock [--batch-width 16] [--deadline-us 200]
-//             [--cache 4] [--threads 0] [--solver auto] [--engine auto]
+//             [--cache 4] [--threads 0] [--solver cholesky] [--engine auto]
 //
 // Stop it with the {"op": "shutdown"} request (or SIGINT/SIGTERM).
 #include <poll.h>
@@ -62,8 +62,8 @@ void usage() {
       "                       (default 200)\n"
       "  --cache <int>        factorization LRU capacity (default 4)\n"
       "  --threads <int>      solver threads, 0 = library default\n"
-      "  --solver <name>      cholesky|pcg-jacobi|pcg-ic0|pcg-tree|pcg-amg|"
-      "auto\n"
+      "  --solver <name>      cholesky|pcg-jacobi|pcg-ic0|pcg-tree|pcg-amg\n"
+      "                       (default cholesky)\n"
       "  --engine <name>      embedding engine: exact|solver-free|auto\n"
       "\n"
       "protocol: one JSON request per line, one JSON response per line\n"
