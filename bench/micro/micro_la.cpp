@@ -87,6 +87,26 @@ BENCHMARK(BM_SpMVThreaded)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+/// One empty pool region: the round trip every parallel loop pays before
+/// any of its work runs (wake the workers, run no-op slots, join them).
+/// parallel::kMinParallelWork is derived from this (DESIGN.md §4);
+/// args: threads.
+void BM_ParallelRegion(benchmark::State& state) {
+  const Index threads = static_cast<Index>(state.range(0));
+  for (auto _ : state) {
+    parallel::parallel_for_slots(
+        0, threads, threads, [](Index lo, Index /*hi*/, Index slot) {
+          benchmark::DoNotOptimize(lo + slot);
+        });
+  }
+  state.counters["threads"] = static_cast<double>(threads);
+}
+BENCHMARK(BM_ParallelRegion)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
 /// Block Lanczos on an SGL-shaped ultra-sparse graph; args: threads.
 void BM_BlockLanczos(benchmark::State& state) {
   const graph::Graph mesh = graph::make_grid2d(96, 96).graph;

@@ -4,6 +4,8 @@
 // graphs, AMG-PCG for large original meshes).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "sgl.hpp"
 
 namespace {
@@ -134,6 +136,51 @@ BENCHMARK(BM_SolveBlockPanel)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+/// Spanning tree of a 96² grid plus each non-tree grid edge with
+/// probability 5% (seeded): the shape and size of a learned mesh96 graph,
+/// whose factor has too little work per level for the pool to pay.
+la::CsrMatrix near_tree_matrix() {
+  const graph::Graph mesh = graph::make_grid2d(96, 96).graph;
+  const auto tree_ids = graph::maximum_spanning_forest(mesh);
+  graph::Graph g = graph::subgraph_from_edges(mesh, tree_ids);
+  std::vector<bool> in_tree(static_cast<std::size_t>(mesh.num_edges()), false);
+  for (const Index e : tree_ids) in_tree[static_cast<std::size_t>(e)] = true;
+  Rng rng(13);
+  for (Index e = 0; e < mesh.num_edges(); ++e) {
+    if (in_tree[static_cast<std::size_t>(e)] || rng.uniform() >= 0.05) continue;
+    const graph::Edge& edge = mesh.edge(e);
+    g.add_edge(edge.s, edge.t, edge.weight);
+  }
+  return grounded_laplacian(g);
+}
+
+void BM_SolveBlockNearTree(benchmark::State& state) {
+  // Eight-column block sweeps through the near-tree factor; args:
+  // threads. Its levels hold too little work to pay for a pool round
+  // trip, so the 4-thread run should match the 1-thread one (DESIGN.md
+  // §4); the 1-thread run gives the per-unit sweep cost.
+  const la::CsrMatrix a = near_tree_matrix();
+  const Index threads = static_cast<Index>(state.range(0));
+  const solver::CholeskySolver chol(a, solver::OrderingMethod::kAuto, threads);
+  Rng rng(5);
+  la::MultiVector b(a.rows(), 8);
+  for (Index j = 0; j < 8; ++j)
+    for (Real& v : b.col(j)) v = rng.normal();
+  la::MultiVector x(a.rows(), 8);
+  for (auto _ : state) {
+    x.data() = b.data();
+    chol.solve_in_place_block(x.view(), threads);
+    benchmark::DoNotOptimize(x.data().data());
+  }
+  state.counters["factor_nnz"] = static_cast<double>(chol.stats().factor_nnz);
+  state.counters["levels"] = static_cast<double>(chol.stats().num_levels);
+}
+BENCHMARK(BM_SolveBlockNearTree)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 void BM_CholeskySolveMesh(benchmark::State& state) {
   const la::CsrMatrix a = mesh_matrix(64);

@@ -54,6 +54,27 @@ inline constexpr Index kMaxThreads = 64;
 /// request clamped to [1, kMaxThreads].
 [[nodiscard]] Index resolve_num_threads(Index requested);
 
+/// Break-even size of one parallel region, in work units: one unit is one
+/// inner-loop operation of a kernel (a multiply-add against a gathered
+/// operand, or one element copied). A region with less work than this
+/// costs more in the pool round trip than it saves, so it runs inline.
+/// Derived from the measured round trip (`BM_ParallelRegion`) and the
+/// per-unit cost of the block sweeps (`BM_SolveBlockNearTree`); see
+/// DESIGN.md §4. Scheduling only: no result depends on it.
+inline constexpr std::int64_t kMinParallelWork = std::int64_t{1} << 16;
+
+/// Worker count for a region of `work` units: 1 below kMinParallelWork,
+/// otherwise resolve_num_threads(requested) capped at
+/// work / kMinParallelWork, so every worker gets at least one break-even
+/// share. The one gate every kernel uses to decide whether a loop goes to
+/// the pool.
+[[nodiscard]] inline Index threads_for_work(Index requested,
+                                            std::int64_t work) {
+  if (work < kMinParallelWork) return 1;
+  return static_cast<Index>(std::min<std::int64_t>(
+      resolve_num_threads(requested), work / kMinParallelWork));
+}
+
 namespace detail {
 
 /// Runs job(slot) for every slot in [0, slots): slot 0 on the calling

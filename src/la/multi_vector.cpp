@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
@@ -10,10 +11,12 @@ namespace sgl::la {
 
 namespace {
 
-/// Row count below which the row-chunked kernels stay serial: pool
-/// dispatch costs more than the loop for small blocks. Purely a scheduling
-/// threshold — the computed values are identical either way.
-constexpr Index kSerialRows = 256;
+/// Workers for a kernel touching `rows` × `cols` elements (the work gate
+/// of common/parallel.hpp; scheduling only, the values never depend on it).
+Index threads_for(Index num_threads, Index rows, Index cols) {
+  return parallel::threads_for_work(
+      num_threads, static_cast<std::int64_t>(rows) * cols);
+}
 
 }  // namespace
 
@@ -39,7 +42,6 @@ void spmm(const CsrMatrix& a, ConstBlockView x, BlockView y,
   // packing passes are O(n·group), negligible against the O(nnz·group)
   // kernel.
   constexpr Index kGroup = 8;
-  const Index threads = a.rows() < kSerialRows ? 1 : num_threads;
   // Cache-line-aligned packing buffers: an 8-wide Real strip is exactly
   // one 64-byte line, so the kernel's strip loads are single aligned
   // vector accesses (DESIGN.md §9).
@@ -49,6 +51,7 @@ void spmm(const CsrMatrix& a, ConstBlockView x, BlockView y,
   for (Index g0 = 0; g0 < b; g0 += kGroup) {
     const Index gw = std::min<Index>(kGroup, b - g0);
     const std::size_t gs = static_cast<std::size_t>(gw);
+    const Index threads = threads_for(num_threads, a.nnz(), gw);
 
     parallel::parallel_for_slots(
         0, x.rows, threads, [&](Index lo, Index hi, Index /*slot*/) {
@@ -125,7 +128,7 @@ DenseMatrix block_inner(ConstBlockView v, ConstBlockView w, Index num_threads) {
   const Index entries = v.cols * w.cols;
   if (entries == 0) return c;
   const Index n = v.rows;
-  const Index threads = n < kSerialRows ? 1 : num_threads;
+  const Index threads = threads_for(num_threads, n, entries);
   parallel::parallel_for(0, entries, threads, [&](Index e) {
     const Index j = e / v.cols;  // column of W
     const Index i = e % v.cols;  // column of V
@@ -145,7 +148,7 @@ void block_product(ConstBlockView v, const DenseMatrix& c, BlockView out,
   SGL_EXPECTS(out.rows == v.rows && out.cols == c.cols(),
               "block_product: output shape mismatch");
   if (out.rows == 0 || out.cols == 0) return;
-  const Index threads = v.rows < kSerialRows ? 1 : num_threads;
+  const Index threads = threads_for(num_threads, v.rows, v.cols * c.cols());
   // Row-chunked; within a chunk the k-loop runs column-contiguously over V
   // and in a fixed order per output element.
   parallel::parallel_for_slots(
@@ -171,7 +174,7 @@ void block_subtract(BlockView w, ConstBlockView v, const DenseMatrix& c,
   SGL_EXPECTS(w.rows == v.rows && w.cols == c.cols(),
               "block_subtract: output shape mismatch");
   if (w.rows == 0 || w.cols == 0 || v.cols == 0) return;
-  const Index threads = v.rows < kSerialRows ? 1 : num_threads;
+  const Index threads = threads_for(num_threads, v.rows, v.cols * c.cols());
   parallel::parallel_for_slots(
       0, v.rows, threads, [&](Index lo, Index hi, Index /*slot*/) {
         for (Index j = 0; j < c.cols(); ++j) {
@@ -194,7 +197,7 @@ void block_axpy(const Vector& alpha, ConstBlockView x, BlockView y,
               "block_axpy: coefficient count mismatch");
   SGL_EXPECTS(x.rows == y.rows && x.cols == y.cols,
               "block_axpy: shape mismatch");
-  const Index threads = x.rows < kSerialRows ? 1 : num_threads;
+  const Index threads = threads_for(num_threads, x.rows, x.cols);
   parallel::parallel_for(0, x.cols, threads, [&](Index j) {
     const Real a = alpha[static_cast<std::size_t>(j)];
     const std::span<const Real> xj = x.col(j);
@@ -210,7 +213,7 @@ void block_xpby(ConstBlockView x, const Vector& beta, BlockView y,
               "block_xpby: coefficient count mismatch");
   SGL_EXPECTS(x.rows == y.rows && x.cols == y.cols,
               "block_xpby: shape mismatch");
-  const Index threads = x.rows < kSerialRows ? 1 : num_threads;
+  const Index threads = threads_for(num_threads, x.rows, x.cols);
   parallel::parallel_for(0, x.cols, threads, [&](Index j) {
     const Real b = beta[static_cast<std::size_t>(j)];
     const std::span<const Real> xj = x.col(j);
@@ -225,7 +228,7 @@ Vector column_dots(ConstBlockView x, ConstBlockView y, Index num_threads) {
   SGL_EXPECTS(x.rows == y.rows && x.cols == y.cols,
               "column_dots: shape mismatch");
   Vector d(static_cast<std::size_t>(x.cols), 0.0);
-  const Index threads = x.rows < kSerialRows ? 1 : num_threads;
+  const Index threads = threads_for(num_threads, x.rows, x.cols);
   parallel::parallel_for(0, x.cols, threads, [&](Index j) {
     const std::span<const Real> xj = x.col(j);
     const std::span<const Real> yj = y.col(j);
@@ -245,7 +248,7 @@ Vector column_norms(ConstBlockView x, Index num_threads) {
 
 void center_columns(BlockView x, Index num_threads) {
   if (x.rows == 0) return;
-  const Index threads = x.rows < kSerialRows ? 1 : num_threads;
+  const Index threads = threads_for(num_threads, x.rows, x.cols);
   parallel::parallel_for(0, x.cols, threads, [&](Index j) {
     const std::span<Real> xj = x.col(j);
     Real acc = 0.0;
@@ -258,7 +261,7 @@ void center_columns(BlockView x, Index num_threads) {
 Vector column_means(ConstBlockView x, Index num_threads) {
   SGL_EXPECTS(x.rows > 0, "column_means: need at least one row");
   Vector m(static_cast<std::size_t>(x.cols), 0.0);
-  const Index threads = x.rows < kSerialRows ? 1 : num_threads;
+  const Index threads = threads_for(num_threads, x.rows, x.cols);
   parallel::parallel_for(0, x.cols, threads, [&](Index j) {
     const std::span<const Real> xj = x.col(j);
     Real acc = 0.0;
@@ -271,7 +274,7 @@ Vector column_means(ConstBlockView x, Index num_threads) {
 void shift_columns(BlockView x, const Vector& delta, Index num_threads) {
   SGL_EXPECTS(to_index(delta.size()) == x.cols,
               "shift_columns: delta count mismatch");
-  const Index threads = x.rows < kSerialRows ? 1 : num_threads;
+  const Index threads = threads_for(num_threads, x.rows, x.cols);
   parallel::parallel_for(0, x.cols, threads, [&](Index j) {
     const Real d = delta[static_cast<std::size_t>(j)];
     const std::span<Real> xj = x.col(j);
@@ -284,7 +287,7 @@ void gather_rows(ConstBlockView x, std::span<const Index> rows, BlockView out,
   SGL_EXPECTS(to_index(rows.size()) == out.rows,
               "gather_rows: row map size mismatch");
   SGL_EXPECTS(x.cols == out.cols, "gather_rows: column count mismatch");
-  const Index threads = out.rows < kSerialRows ? 1 : num_threads;
+  const Index threads = threads_for(num_threads, out.rows, out.cols);
   parallel::parallel_for(0, out.cols, threads, [&](Index j) {
     const std::span<const Real> xj = x.col(j);
     const std::span<Real> oj = out.col(j);
@@ -300,7 +303,7 @@ void scatter_rows(ConstBlockView x, std::span<const Index> rows, BlockView out,
   SGL_EXPECTS(to_index(rows.size()) == x.rows,
               "scatter_rows: row map size mismatch");
   SGL_EXPECTS(x.cols == out.cols, "scatter_rows: column count mismatch");
-  const Index threads = x.rows < kSerialRows ? 1 : num_threads;
+  const Index threads = threads_for(num_threads, x.rows, x.cols);
   parallel::parallel_for(0, x.cols, threads, [&](Index j) {
     const std::span<const Real> xj = x.col(j);
     const std::span<Real> oj = out.col(j);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "common/parallel.hpp"
@@ -83,13 +84,13 @@ Real CsrMatrix::at(Index i, Index j) const {
   return values_[static_cast<std::size_t>(it - col_idx_.begin())];
 }
 
-using detail::kSpmvSerialRows;
 using detail::kSpmvTransposeChunks;
+using detail::kSpmvTransposeMinChunkRows;
 
 void CsrMatrix::multiply(const Vector& x, Vector& y, Index num_threads) const {
   SGL_EXPECTS(to_index(x.size()) == cols_, "multiply: size mismatch");
   y.assign(static_cast<std::size_t>(rows_), 0.0);
-  const Index threads = rows_ < kSpmvSerialRows ? 1 : num_threads;
+  const Index threads = parallel::threads_for_work(num_threads, nnz());
   parallel::parallel_for_slots(
       0, rows_, threads, [&](Index lo, Index hi, Index /*slot*/) {
         for (Index i = lo; i < hi; ++i) {
@@ -120,7 +121,7 @@ Vector CsrMatrix::multiply_transposed(const Vector& x, Index num_threads) const 
     }
   };
 
-  if (rows_ < kSpmvSerialRows) {
+  if (rows_ < kSpmvTransposeChunks * kSpmvTransposeMinChunkRows) {
     scatter_rows(0, rows_, y);
     return y;
   }
@@ -131,7 +132,8 @@ Vector CsrMatrix::multiply_transposed(const Vector& x, Index num_threads) const 
   const Index chunk = (rows_ + kSpmvTransposeChunks - 1) / kSpmvTransposeChunks;
   const Index num_chunks = (rows_ + chunk - 1) / chunk;
   std::vector<Vector> partial(static_cast<std::size_t>(num_chunks));
-  parallel::parallel_for(0, num_chunks, num_threads, [&](Index c) {
+  const Index threads = parallel::threads_for_work(num_threads, nnz());
+  parallel::parallel_for(0, num_chunks, threads, [&](Index c) {
     Vector& local = partial[static_cast<std::size_t>(c)];
     local.assign(static_cast<std::size_t>(cols_), 0.0);
     const Index lo = c * chunk;
@@ -176,7 +178,7 @@ void spmm_transposed_row_major(const CsrMatrix& a, const Real* x, Real* y,
     }
   };
 
-  if (rows < kSpmvSerialRows) {
+  if (rows < kSpmvTransposeChunks * kSpmvTransposeMinChunkRows) {
     scatter_rows(0, rows, y);
     return;
   }
@@ -185,7 +187,9 @@ void spmm_transposed_row_major(const CsrMatrix& a, const Real* x, Real* y,
   const Index chunk = (rows + kSpmvTransposeChunks - 1) / kSpmvTransposeChunks;
   const Index num_chunks = (rows + chunk - 1) / chunk;
   std::vector<std::vector<Real>> partial(static_cast<std::size_t>(num_chunks));
-  parallel::parallel_for(0, num_chunks, num_threads, [&](Index ck) {
+  const Index threads = parallel::threads_for_work(
+      num_threads, static_cast<std::int64_t>(a.nnz()) * b);
+  parallel::parallel_for(0, num_chunks, threads, [&](Index ck) {
     std::vector<Real>& local = partial[static_cast<std::size_t>(ck)];
     local.assign(static_cast<std::size_t>(cols) * sb, 0.0);
     const Index lo = ck * chunk;

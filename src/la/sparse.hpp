@@ -17,21 +17,24 @@ class CsrMatrix;
 
 namespace detail {
 
-/// Row count below which the SpMV kernels stay serial (pool dispatch costs
-/// more than the loop). A scheduling threshold only for the gather kernel;
-/// for the transposed scatter it also selects between the serial per-entry
-/// sum and the fixed-chunk combine.
-inline constexpr Index kSpmvSerialRows = 4096;
-
 /// Fixed chunk count for the transposed-scatter reduction; depends on
 /// nothing but this constant so results never vary with the thread count.
 inline constexpr Index kSpmvTransposeChunks = 32;
 
+/// Smallest row chunk of the transposed scatter: below
+/// kSpmvTransposeChunks × this many rows the scatter is one serial
+/// per-entry sum, above it the fixed-chunk ordered combine. This picks
+/// the summation order (a function of the row count alone), not the
+/// thread count; whether the chunks run on the pool is decided by
+/// parallel::threads_for_work.
+inline constexpr Index kSpmvTransposeMinChunkRows = 128;
+
 /// Y = Aᵀ X for a block of b columns packed ROW-major (one contiguous
 /// b-strip per row: x is rows×b, y is cols×b and is overwritten). Each
 /// column runs the EXACT CsrMatrix::multiply_transposed algorithm —
-/// per-row zero skip, ascending-row scatter, and above kSpmvSerialRows
-/// the fixed-chunk ordered combine — so column c of the result is
+/// per-row zero skip, ascending-row scatter, and from
+/// kSpmvTransposeChunks × kSpmvTransposeMinChunkRows rows on the
+/// fixed-chunk ordered combine — so column c of the result is
 /// bitwise equal to multiply_transposed on that column alone, for every
 /// thread count and block width. Lives here (not in multi_vector) so the
 /// scalar and block scatters evolve in lockstep; the AMG block V-cycle's

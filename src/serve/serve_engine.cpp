@@ -80,58 +80,103 @@ void ServeEngine::activate(const graph::GraphKey& key) {
 
 void ServeEngine::adopt_graph(const graph::GraphKey& key, graph::Graph g) {
   const common::MutexLock lock(state_mutex_);
-  graphs_.insert_or_assign(key, std::move(g));
+  // Same key, same graph: keep the registered one. embedding() and the
+  // factorization in acquire_solver read it outside the lock, so it must
+  // never be replaced.
+  graphs_.try_emplace(key, std::move(g));
   active_ = key;
 }
 
 std::shared_ptr<const solver::LaplacianPinvSolver>
 ServeEngine::acquire_solver(const std::optional<graph::GraphKey>& key_opt) {
-  const common::MutexLock lock(state_mutex_);
   graph::GraphKey key;
-  if (key_opt.has_value()) {
-    if (graphs_.find(*key_opt) == graphs_.end()) {
-      const common::MutexLock stats_lock(stats_mutex_);
-      ++stats_.errors;
-      throw SglError(ErrorCode::kBadRequest,
-                     "unknown graph key (load_graph or learn first)");
+  const graph::Graph* g = nullptr;
+  std::shared_ptr<Build> build;
+  {
+    const common::MutexLock lock(state_mutex_);
+    if (key_opt.has_value()) {
+      if (graphs_.find(*key_opt) == graphs_.end()) {
+        const common::MutexLock stats_lock(stats_mutex_);
+        ++stats_.errors;
+        throw SglError(ErrorCode::kBadRequest,
+                       "unknown graph key (load_graph or learn first)");
+      }
+      key = *key_opt;
+    } else {
+      if (!active_.has_value()) {
+        const common::MutexLock stats_lock(stats_mutex_);
+        ++stats_.errors;
+        throw SglError(ErrorCode::kNoActiveGraph,
+                       "no active graph: load_graph or learn first");
+      }
+      key = *active_;
     }
-    key = *key_opt;
-  } else {
-    if (!active_.has_value()) {
-      const common::MutexLock stats_lock(stats_mutex_);
-      ++stats_.errors;
-      throw SglError(ErrorCode::kNoActiveGraph,
-                     "no active graph: load_graph or learn first");
-    }
-    key = *active_;
-  }
 
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if (it->first == key) {
-      lru_.splice(lru_.begin(), lru_, it);  // move to MRU position
+    for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+      if (it->first == key) {
+        lru_.splice(lru_.begin(), lru_, it);  // move to MRU position
+        const common::MutexLock stats_lock(stats_mutex_);
+        ++stats_.cache_hits;
+        return lru_.front().second;
+      }
+    }
+
+    // Another request is already factorizing this graph: wait for its
+    // result instead of building a second copy. Its error, if any, is
+    // every waiter's error.
+    if (const auto it = builds_.find(key); it != builds_.end()) {
+      const std::shared_ptr<Build> pending = it->second;
+      while (!pending->done) build_cv_.wait(state_mutex_);
+      if (pending->error) std::rethrow_exception(pending->error);
       const common::MutexLock stats_lock(stats_mutex_);
       ++stats_.cache_hits;
-      return lru_.front().second;
+      return pending->solver;
     }
+
+    {
+      const common::MutexLock stats_lock(stats_mutex_);
+      ++stats_.cache_misses;
+    }
+    build = std::make_shared<Build>();
+    builds_.emplace(key, build);
+    // std::map nodes are pointer-stable and graphs are never erased or
+    // replaced, so the factorization can run outside the lock.
+    g = &graphs_.at(key);
   }
 
-  // Miss: factorize the active graph, then insert at MRU, evicting from
-  // the LRU end. The evicted shared_ptr may stay alive while an
-  // in-flight batch still holds it — eviction only drops the cache's
-  // reference, never a solver under a live solve.
+  // Miss: factorize without holding state_mutex_, so hits on other graphs
+  // never wait behind it.
+  std::shared_ptr<const solver::LaplacianPinvSolver> solver_ptr;
+  std::exception_ptr error;
+  try {
+    solver_ptr =
+        std::make_shared<const solver::LaplacianPinvSolver>(*g, options_.solver);
+  } catch (...) {
+    error = std::current_exception();
+  }
+
   {
-    const common::MutexLock stats_lock(stats_mutex_);
-    ++stats_.cache_misses;
+    const common::MutexLock lock(state_mutex_);
+    builds_.erase(key);
+    build->solver = solver_ptr;
+    build->error = error;
+    build->done = true;
+    // Insert at MRU, evicting from the LRU end. A failed build leaves no
+    // entry, so the next request for the graph retries. The evicted
+    // shared_ptr may stay alive while an in-flight batch still holds it —
+    // eviction only drops the cache's reference, never a solver under a
+    // live solve.
+    if (!error) {
+      while (static_cast<Index>(lru_.size()) >= options_.cache_capacity) {
+        lru_.pop_back();
+        const common::MutexLock stats_lock(stats_mutex_);
+        ++stats_.cache_evictions;
+      }
+      lru_.emplace_front(key, solver_ptr);
+    }
   }
-  const graph::Graph& g = graphs_.at(key);
-  auto solver_ptr =
-      std::make_shared<const solver::LaplacianPinvSolver>(g, options_.solver);
-  while (static_cast<Index>(lru_.size()) >= options_.cache_capacity) {
-    lru_.pop_back();
-    const common::MutexLock stats_lock(stats_mutex_);
-    ++stats_.cache_evictions;
-  }
-  lru_.emplace_front(key, solver_ptr);
+  build_cv_.notify_all();
+  if (error) std::rethrow_exception(error);
   return solver_ptr;
 }
 

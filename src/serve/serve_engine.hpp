@@ -24,6 +24,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <exception>
 #include <list>
 #include <map>
 #include <memory>
@@ -82,6 +83,8 @@ struct ServeStats {
   /// Batches re-run column-by-column after a NumericalError, isolating
   /// the failing request so its neighbors still get their answers.
   Index serial_fallbacks = 0;
+  /// Requests served by a cached factorization, or by one another
+  /// request was already building for the same graph.
   Index cache_hits = 0;
   Index cache_misses = 0;
   Index cache_evictions = 0;
@@ -192,7 +195,8 @@ class ServeEngine {
       SGL_EXCLUDES(state_mutex_);
 
   /// Returns the factorization of `key` (or of the active graph when
-  /// nullopt), building (and LRU-inserting/evicting) on a miss.
+  /// nullopt), building (and LRU-inserting/evicting) on a miss. The build
+  /// runs outside state_mutex_; concurrent misses on one key share it.
   [[nodiscard]] std::shared_ptr<const solver::LaplacianPinvSolver>
   acquire_solver(const std::optional<graph::GraphKey>& key)
       SGL_EXCLUDES(state_mutex_);
@@ -221,6 +225,20 @@ class ServeEngine {
   /// Factorization LRU: front = most recent. Linear scan — capacities
   /// are single digits.
   std::list<CacheEntry> lru_ SGL_GUARDED_BY(state_mutex_);
+  /// A factorization being built outside the lock by the request that
+  /// missed first; later requests for the same key wait on build_cv_
+  /// until `done`, then take `solver` or rethrow `error`. Its fields are
+  /// written and read only under state_mutex_.
+  struct Build {
+    std::shared_ptr<const solver::LaplacianPinvSolver> solver;
+    std::exception_ptr error;
+    bool done = false;
+  };
+  /// In-flight builds, at most one per key; a build leaves the map when it
+  /// finishes, whether it succeeded or not.
+  std::map<graph::GraphKey, std::shared_ptr<Build>> builds_
+      SGL_GUARDED_BY(state_mutex_);
+  std::condition_variable_any build_cv_;
   /// Embedding cache for the (single) most recently embedded graph.
   std::optional<std::pair<graph::GraphKey, spectral::Embedding>>
       embedding_cache_ SGL_GUARDED_BY(state_mutex_);

@@ -13,11 +13,6 @@ namespace sgl::solver {
 
 namespace {
 
-/// Matrix size below which the numeric phase and the block sweeps stay
-/// serial: pool dispatch costs more than the work. Scheduling-only — the
-/// values are identical either way.
-constexpr Index kSerialCols = 256;
-
 // Relative floor for downdated pivots: a downdate to an exactly singular
 // matrix rounds the pivot to ~machine-epsilon × its old value, which can
 // land on either side of zero. Any legitimate downdate leaves far more
@@ -207,6 +202,30 @@ void CholeskySolver::analyze(const la::CsrMatrix& pa) {
         level_next[static_cast<std::size_t>(level[static_cast<std::size_t>(s)])]++)] = s;
   }
 
+  // --- Per-level work (DESIGN.md §4). -----------------------------------
+  // Sweep work: the factor entries of the level's columns, diagonal
+  // included (one multiply-add per entry and right-hand side). Numeric
+  // work: the inner-loop operations of the left-looking update — per
+  // column its own entries plus, per updater k (the column's row in the
+  // mirror), the entries of column k from that row down. Both feed the
+  // parallel::threads_for_work gate, level by level; the pattern is kept
+  // by refactorize and update_edge, so they are computed once here.
+  level_sweep_work_.assign(static_cast<std::size_t>(num_levels), 0);
+  level_factor_work_.assign(static_cast<std::size_t>(num_levels), 0);
+  for (Index j = 0; j < n_; ++j) {
+    const std::size_t uj = static_cast<std::size_t>(j);
+    const std::size_t l =
+        static_cast<std::size_t>(level[static_cast<std::size_t>(super_of[uj])]);
+    const std::int64_t entries = 1 + l_col_ptr_[uj + 1] - l_col_ptr_[uj];
+    std::int64_t ops = entries;
+    for (Index q = r_row_ptr_[uj]; q < r_row_ptr_[uj + 1]; ++q) {
+      const std::size_t uq = static_cast<std::size_t>(q);
+      ops += l_col_ptr_[static_cast<std::size_t>(r_col_idx_[uq]) + 1] - r_val_pos_[uq];
+    }
+    level_sweep_work_[l] += entries;
+    level_factor_work_[l] += ops;
+  }
+
   build_panels();
 }
 
@@ -371,8 +390,21 @@ void CholeskySolver::run_numeric_phase(const la::CsrMatrix& pa,
   const std::size_t un = static_cast<std::size_t>(n_);
   d_.assign(un, 0.0);
 
-  const Index threads =
-      n_ < kSerialCols ? 1 : parallel::resolve_num_threads(num_threads);
+  // Workers per level from its numeric work; a level below the gate
+  // (or with one block) runs inline on the calling thread.
+  const Index num_levels = to_index(level_ptr_.size()) - 1;
+  std::vector<Index> level_threads(static_cast<std::size_t>(num_levels), 1);
+  Index threads = 1;
+  stats_.pool_levels = 0;
+  for (Index l = 0; l < num_levels; ++l) {
+    const Index blocks = level_ptr_[static_cast<std::size_t>(l) + 1] -
+                         level_ptr_[static_cast<std::size_t>(l)];
+    const std::int64_t work = level_factor_work_[static_cast<std::size_t>(l)];
+    const Index t = std::min(blocks, parallel::threads_for_work(num_threads, work));
+    level_threads[static_cast<std::size_t>(l)] = t;
+    threads = std::max(threads, t);
+    if (t > 1) ++stats_.pool_levels;
+  }
   // One workspace per worker slot; each task leaves its scratch zeroed /
   // reset, so any slot can pick up any supernode.
   std::vector<PanelWorkspace> scratch(static_cast<std::size_t>(threads));
@@ -391,7 +423,6 @@ void CholeskySolver::run_numeric_phase(const la::CsrMatrix& pa,
     }
   }
 
-  const Index num_levels = to_index(level_ptr_.size()) - 1;
   for (Index l = 0; l < num_levels; ++l) {
     const Index lo = level_ptr_[static_cast<std::size_t>(l)];
     const Index hi = level_ptr_[static_cast<std::size_t>(l) + 1];
@@ -421,10 +452,11 @@ void CholeskySolver::run_numeric_phase(const la::CsrMatrix& pa,
         }
       }
     };
-    if (threads == 1 || hi - lo == 1) {
+    const Index t = level_threads[static_cast<std::size_t>(l)];
+    if (t == 1) {
       run_supers(lo, hi, 0);
     } else {
-      parallel::parallel_for_slots(lo, hi, threads, run_supers);
+      parallel::parallel_for_slots(lo, hi, t, run_supers);
     }
   }
 }
@@ -940,8 +972,15 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
   // needed, so a short fixed distance hides most of the L2 latency of
   // the scattered strip loads without thrashing L1.
   constexpr Index kPrefetchAhead = 8;
-  const Index threads =
-      n_ < kSerialCols ? 1 : parallel::resolve_num_threads(num_threads);
+  // The n-row permute/divide loops and each level of both sweeps go to
+  // the pool only when their work (× TILE right-hand sides) covers the
+  // round trip (parallel::threads_for_work); otherwise they run inline.
+  const Index row_threads = parallel::threads_for_work(
+      num_threads, static_cast<std::int64_t>(n_) * TILE);
+  const auto level_threads = [&](Index l, Index blocks) {
+    const std::int64_t work = level_sweep_work_[static_cast<std::size_t>(l)] * TILE;
+    return std::min(blocks, parallel::threads_for_work(num_threads, work));
+  };
   const bool panels = kernel_ == FactorKernel::kSupernodal;
   // Last valid slot of the gather index arrays (r_col_idx_ and
   // l_row_idx_ are both factor_nnz long): prefetch indices are clamped
@@ -954,7 +993,7 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
   // factor entry touches one strip; the compile-time tile width keeps the
   // strip updates in registers and vectorized.
   w.resize(static_cast<std::size_t>(n_) * sb);
-  parallel::parallel_for(0, n_, threads, [&](Index i) {
+  parallel::parallel_for(0, n_, row_threads, [&](Index i) {
     Real* dst = w.data() + static_cast<std::size_t>(i) * sb;
     const Index src = perm_[static_cast<std::size_t>(i)];
     for (int c = 0; c < TILE; ++c) dst[c] = x.at(src, col0 + c);
@@ -1043,16 +1082,17 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
         }
       }
     };
-    if (threads == 1 || hi - lo == 1) {
+    const Index t = level_threads(l, hi - lo);
+    if (t == 1) {
       sweep(lo, hi, 0);
     } else {
-      parallel::parallel_for_slots(lo, hi, threads, sweep);
+      parallel::parallel_for_slots(lo, hi, t, sweep);
     }
   }
 
   // Diagonal: D Z = Y. Divides (not multiply-by-reciprocal) to stay
   // bitwise equal to the scalar path.
-  parallel::parallel_for(0, n_, threads, [&](Index i) {
+  parallel::parallel_for(0, n_, row_threads, [&](Index i) {
     Real* wi = w.data() + static_cast<std::size_t>(i) * sb;
     const Real dv = d_[static_cast<std::size_t>(i)];
     for (int c = 0; c < TILE; ++c) wi[c] /= dv;
@@ -1133,14 +1173,15 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
         }
       }
     };
-    if (threads == 1 || hi - lo == 1) {
+    const Index t = level_threads(l, hi - lo);
+    if (t == 1) {
       sweep(lo, hi, 0);
     } else {
-      parallel::parallel_for_slots(lo, hi, threads, sweep);
+      parallel::parallel_for_slots(lo, hi, t, sweep);
     }
   }
 
-  parallel::parallel_for(0, n_, threads, [&](Index i) {
+  parallel::parallel_for(0, n_, row_threads, [&](Index i) {
     const Real* src = w.data() + static_cast<std::size_t>(i) * sb;
     const Index dst = perm_[static_cast<std::size_t>(i)];
     for (int c = 0; c < TILE; ++c) x.at(dst, col0 + c) = src[c];

@@ -11,7 +11,8 @@
 //     tridiagonal chain or the dense trailing triangle of a mesh factor
 //     becomes one block), and level sets over the block tree — blocks in
 //     the same level set share no ancestor/descendant relation and can be
-//     factored or swept concurrently.
+//     factored or swept concurrently — each level also records its work,
+//     so only levels that cover a pool round trip go to the pool.
 //   - Symbolic analysis additionally refines each chain block into
 //     *fundamental panels*: maximal runs of consecutive columns with
 //     pattern(j) = {j+1} ∪ pattern(j+1). A panel's columns share one
@@ -48,6 +49,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "la/dense_matrix.hpp"
@@ -81,6 +83,10 @@ struct FactorStats {
   Index num_levels = 0;
   /// Widest level (upper bound on exploitable factor/sweep parallelism).
   Index max_level_supernodes = 0;
+  /// Levels the last numeric phase ran on the thread pool; the others
+  /// held too little work to pay for a pool round trip and ran inline
+  /// (parallel::threads_for_work, DESIGN.md §4).
+  Index pool_levels = 0;
   double factor_seconds = 0.0;
   /// Rank-1 update_edge() calls applied in place since construction
   /// (cumulative; a refactorize() does not reset it).
@@ -105,9 +111,10 @@ class CholeskySolver {
  public:
   /// Factors the SPD matrix `a` (full symmetric storage) as
   /// P a Pᵀ = L D Lᵀ. Throws NumericalError if a pivot is ≤ 0 (matrix not
-  /// positive definite). `num_threads` workers factor the level sets
-  /// (0 = library default, 1 = serial); the factor is bit-identical for
-  /// every value and for both kernels.
+  /// positive definite). Up to `num_threads` workers factor each level
+  /// set (0 = library default, 1 = serial); a level with less work than a
+  /// pool round trip runs inline. The factor is bit-identical for every
+  /// value and for both kernels.
   explicit CholeskySolver(const la::CsrMatrix& a,
                           OrderingMethod ordering = OrderingMethod::kAuto,
                           Index num_threads = 0,
@@ -270,6 +277,12 @@ class CholeskySolver {
   std::vector<Index> super_ptr_;
   std::vector<Index> level_ptr_;
   std::vector<Index> level_supers_;
+  // Per-level work in parallel::threads_for_work units: factor entries of
+  // the level's columns, diagonal included (one multiply-add per entry
+  // and right-hand side in a sweep), and the numeric phase's inner-loop
+  // operation count. Fixed by the symbolic analysis.
+  std::vector<std::int64_t> level_sweep_work_;
+  std::vector<std::int64_t> level_factor_work_;
   // Fundamental panels (DESIGN.md §9): panel p = columns
   // [panel_ptr_[p], panel_ptr_[p+1]), a refinement of the chain blocks —
   // supernode s owns panels [super_panel_ptr_[s], super_panel_ptr_[s+1]).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -23,9 +24,11 @@ void jacobi_smooth(const graph::Graph& g, la::MultiVector& x,
   const la::CsrMatrix lap = g.laplacian();
   const la::Vector deg = g.weighted_degrees();
   const Index n = x.rows();
+  const Index update_threads = parallel::threads_for_work(
+      num_threads, static_cast<std::int64_t>(n) * x.cols());
   for (Index sweep = 0; sweep < sweeps; ++sweep) {
     la::spmm(lap, x.view(), work.view(), num_threads);
-    parallel::parallel_for(0, x.cols(), num_threads, [&](Index c) {
+    parallel::parallel_for(0, x.cols(), update_threads, [&](Index c) {
       auto xc = x.col(c);
       const auto wc = work.col(c);
       for (Index i = 0; i < n; ++i) {

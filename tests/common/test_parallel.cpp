@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -24,6 +25,21 @@ TEST(Parallel, ResolveSemantics) {
   EXPECT_EQ(resolve_num_threads(1), 1);
   EXPECT_EQ(resolve_num_threads(5), 5);
   EXPECT_EQ(resolve_num_threads(kMaxThreads + 100), kMaxThreads);
+}
+
+TEST(Parallel, ThreadsForWorkGatesOnTheBreakEvenSize) {
+  // Below one break-even share the region runs inline, whatever was asked.
+  EXPECT_EQ(threads_for_work(4, 0), 1);
+  EXPECT_EQ(threads_for_work(4, kMinParallelWork - 1), 1);
+  EXPECT_EQ(threads_for_work(0, kMinParallelWork - 1), 1);
+  // Above it, at most one worker per break-even share ...
+  EXPECT_EQ(threads_for_work(4, kMinParallelWork), 1);
+  EXPECT_EQ(threads_for_work(4, 2 * kMinParallelWork + 1), 2);
+  EXPECT_EQ(threads_for_work(4, 3 * kMinParallelWork), 3);
+  // ... and never more than the resolved request.
+  EXPECT_EQ(threads_for_work(4, 100 * kMinParallelWork), 4);
+  EXPECT_EQ(threads_for_work(1, 100 * kMinParallelWork), 1);
+  EXPECT_EQ(threads_for_work(0, std::int64_t{1} << 40), default_num_threads());
 }
 
 TEST(Parallel, ForVisitsEveryIndexExactlyOnce) {

@@ -123,10 +123,12 @@ TEST(Amg, ApplyBlockMatchesApplyBitwise) {
 }
 
 TEST(Amg, ApplyBlockMatchesApplyBitwiseAboveScatterThreshold) {
-  // A fine level past la::detail::kSpmvSerialRows rows exercises the
-  // chunked restriction combine; the block path must reproduce it.
+  // A fine level past the transposed scatter's chunked-combine row count
+  // exercises the chunked restriction combine; the block path must
+  // reproduce it.
   const la::CsrMatrix a = grounded_laplacian(graph::make_grid2d(72, 70).graph);
-  ASSERT_GE(a.rows(), la::detail::kSpmvSerialRows);
+  ASSERT_GE(a.rows(), la::detail::kSpmvTransposeChunks *
+                          la::detail::kSpmvTransposeMinChunkRows);
   const AmgPreconditioner amg(a);
   const la::MultiVector r = random_block_rhs(a.rows(), 3, 36);
   la::MultiVector z(a.rows(), 3);

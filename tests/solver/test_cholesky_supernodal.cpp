@@ -5,8 +5,12 @@
 // count. The comparisons go through solve outputs: every factor nonzero
 // is multiplied into the forward/backward sweeps of a dense random
 // right-hand side, so a single differing bit in L or D would surface.
+// The dense-blocks-plus-tree family mixes levels that carry enough work
+// for the thread pool with levels that run inline, so the sweep also
+// covers the per-level work gate (DESIGN.md §4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -14,6 +18,7 @@
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "graph/mst.hpp"
 #include "solver/cholesky.hpp"
 #include "solver_test_utils.hpp"
 
@@ -38,7 +43,56 @@ la::CsrMatrix random_spd(Index n, Real density, std::uint64_t seed) {
   return la::CsrMatrix::from_triplets(n, n, t);
 }
 
-enum class MatrixFamily { kMesh, kPath, kRandomSpd };
+enum class MatrixFamily { kMesh, kPath, kRandomSpd, kDenseBlocksPlusTree };
+
+/// Four 100-node cliques hanging off the leaves of a 2047-node binary
+/// tree. Numbered for the natural ordering: node 0 is the tree root (the
+/// grounded node), then the cliques, then the tree bottom-up, so every
+/// clique is one dense chain block on level 0 — numeric and 8-wide sweep
+/// work above parallel::kMinParallelWork — while the tree levels above
+/// hold a few entries each and stay inline.
+la::CsrMatrix dense_blocks_plus_tree() {
+  constexpr Index kCliques = 4;
+  constexpr Index kCliqueSize = 100;
+  constexpr Index kTree = 2047;  // heap-indexed: children of h are 2h+1, 2h+2
+  constexpr Index kTreeBase = 1 + kCliques * kCliqueSize;
+  const auto tree_id = [](Index h) {
+    return h == 0 ? Index{0} : kTreeBase + kTree - 1 - h;
+  };
+  graph::Graph g(kTreeBase + kTree - 1);
+  for (Index h = 1; h < kTree; ++h) {
+    const Index u = tree_id(h);
+    const Index v = tree_id((h - 1) / 2);
+    g.add_edge(std::min(u, v), std::max(u, v), 1.0);
+  }
+  for (Index c = 0; c < kCliques; ++c) {
+    const Index first = 1 + c * kCliqueSize;
+    for (Index i = 0; i < kCliqueSize; ++i)
+      for (Index j = i + 1; j < kCliqueSize; ++j)
+        g.add_edge(first + i, first + j, 0.5);
+    // The clique's last node hangs off a leaf (heap index ≥ kTree / 2).
+    g.add_edge(first + kCliqueSize - 1, tree_id(kTree - 1 - 7 * c), 1.0);
+  }
+  return grounded_laplacian(g);
+}
+
+/// Spanning tree of a 96² grid plus each non-tree grid edge with
+/// probability 5% (seeded): the shape of a learned mesh96 graph, whose
+/// factor holds far less work per level than a pool round trip.
+la::CsrMatrix near_tree_matrix() {
+  const graph::Graph mesh = graph::make_grid2d(96, 96).graph;
+  const auto tree_ids = graph::maximum_spanning_forest(mesh);
+  graph::Graph g = graph::subgraph_from_edges(mesh, tree_ids);
+  std::vector<bool> in_tree(static_cast<std::size_t>(mesh.num_edges()), false);
+  for (const Index e : tree_ids) in_tree[static_cast<std::size_t>(e)] = true;
+  Rng rng(13);
+  for (Index e = 0; e < mesh.num_edges(); ++e) {
+    if (in_tree[static_cast<std::size_t>(e)] || rng.uniform() >= 0.05) continue;
+    const graph::Edge& edge = mesh.edge(e);
+    g.add_edge(edge.s, edge.t, edge.weight);
+  }
+  return grounded_laplacian(g);
+}
 
 la::CsrMatrix make_matrix(MatrixFamily family) {
   switch (family) {
@@ -55,6 +109,8 @@ la::CsrMatrix make_matrix(MatrixFamily family) {
       for (Index i = 0; i + 1 < 340; ++i) g.add_edge(i, i + 1, 1.0);
       return grounded_laplacian(g);
     }
+    case MatrixFamily::kDenseBlocksPlusTree:
+      return dense_blocks_plus_tree();
     case MatrixFamily::kRandomSpd:
     default:
       return random_spd(300, 0.04, 99);
@@ -85,6 +141,14 @@ TEST_P(SupernodalKernelSweep, FactorAndSweepsMatchScalarBitwise) {
   EXPECT_LE(panel.stats().num_panels, panel.stats().n);
   EXPECT_LE(panel.stats().panel_columns, panel.stats().n);
   EXPECT_EQ(panel.stats().factor_nnz, reference.stats().factor_nnz);
+  EXPECT_EQ(reference.stats().pool_levels, 0);
+  if (family == MatrixFamily::kDenseBlocksPlusTree &&
+      ordering == OrderingMethod::kNatural && threads > 1) {
+    // The clique level goes to the pool, the tree levels run inline.
+    EXPECT_GT(panel.stats().pool_levels, 0);
+    EXPECT_LT(panel.stats().pool_levels, panel.stats().num_levels);
+    EXPECT_EQ(scalar.stats().pool_levels, panel.stats().pool_levels);
+  }
 
   // Scalar solve: exercises every factor entry once per sweep.
   const la::Vector b = random_rhs(a.rows(), 2024);
@@ -117,7 +181,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          OrderingMethod::kAuto),
                        ::testing::Values(MatrixFamily::kMesh,
                                          MatrixFamily::kPath,
-                                         MatrixFamily::kRandomSpd),
+                                         MatrixFamily::kRandomSpd,
+                                         MatrixFamily::kDenseBlocksPlusTree),
                        ::testing::Values(Index{1}, Index{2}, Index{4},
                                          Index{8})));
 
@@ -174,6 +239,26 @@ TEST(CholeskySupernodal, RefactorizeMatchesScalarKernelBitwise) {
   const la::Vector xs = scalar.solve(b);
   const la::Vector xp = panel.solve(b);
   for (std::size_t i = 0; i < xs.size(); ++i) EXPECT_EQ(xs[i], xp[i]);
+}
+
+TEST(CholeskySupernodal, PoolRunsOnlyLevelsThatPayForIt) {
+  // A near-tree factor has no level worth a pool round trip, even at four
+  // threads; the wide bottom levels of a nested-dissection mesh factor do.
+  const CholeskySolver tree(near_tree_matrix(), OrderingMethod::kAuto, 4);
+  EXPECT_EQ(tree.stats().pool_levels, 0);
+
+  const la::CsrMatrix mesh =
+      grounded_laplacian(graph::make_grid2d(128, 128).graph);
+  CholeskySolver factor(mesh, OrderingMethod::kNestedDissection, 4);
+  const Index pool_levels = factor.stats().pool_levels;
+  EXPECT_GT(pool_levels, 0);
+  EXPECT_LT(pool_levels, factor.stats().num_levels);
+  // The level work is part of the kept analysis: a renumeration at the
+  // same thread count schedules the same levels; one thread, none.
+  factor.refactorize(mesh, 4);
+  EXPECT_EQ(factor.stats().pool_levels, pool_levels);
+  factor.refactorize(mesh, 1);
+  EXPECT_EQ(factor.stats().pool_levels, 0);
 }
 
 TEST(CholeskySupernodal, NonPositivePivotThrowsSameColumnAsScalar) {

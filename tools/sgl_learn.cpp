@@ -268,10 +268,11 @@ int main(int argc, char** argv) {
       if (const solver::FactorStats* fs = pinv.factor_stats()) {
         std::printf(
             "factor: n=%d nnz=%d supernodes=%d levels=%d "
-            "(widest level %d) in %.4fs, updates=%d refactorizations=%d\n",
+            "(widest level %d, %d on the pool) in %.4fs, updates=%d "
+            "refactorizations=%d\n",
             fs->n, fs->factor_nnz, fs->num_supernodes, fs->num_levels,
-            fs->max_level_supernodes, fs->factor_seconds, fs->updates_applied,
-            fs->refactorizations);
+            fs->max_level_supernodes, fs->pool_levels, fs->factor_seconds,
+            fs->updates_applied, fs->refactorizations);
       } else {
         // Iterative path: drive one two-column probe block through the
         // block-PCG solve so the per-block iteration stats are populated.
